@@ -1,7 +1,7 @@
 // Reproduces Figure 1: method rankings (1 = best) across the ten evaluation
 // measures (left panel: per measure, averaged over datasets) and across the ten
 // datasets (right panel: per dataset, averaged over measures). Reuses the Figure 5
-// grid cache when present.
+// grid's cell checkpoints when present.
 
 #include <cstdio>
 
@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
   }
   const tsg::bench::BenchConfig config = tsg::bench::LoadConfig();
   const auto& methods = tsg::methods::AllMethodNames();
-  const auto grid =
-      tsg::bench::LoadOrComputeGrid(config, methods, tsg::data::AllDatasets());
+  const auto grid = tsg::bench::RunGrid(config, methods, tsg::data::AllDatasets());
   tsg::bench::ReportFailures(grid);
   const auto& rows = grid.rows;
   const auto measures = tsg::bench::DistinctMeasures(rows);

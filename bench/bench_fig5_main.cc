@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   const auto& methods = tsg::methods::AllMethodNames();
   const auto datasets = tsg::data::AllDatasets();
 
-  const auto grid = tsg::bench::LoadOrComputeGrid(config, methods, datasets);
+  const auto grid = tsg::bench::RunGrid(config, methods, datasets);
   tsg::bench::ReportFailures(grid);
   const auto& rows = grid.rows;
   const auto measures = tsg::bench::DistinctMeasures(rows);

@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
   }
   const tsg::bench::BenchConfig config = tsg::bench::LoadConfig();
   const auto& methods = tsg::methods::AllMethodNames();
-  const auto grid =
-      tsg::bench::LoadOrComputeGrid(config, methods, tsg::data::AllDatasets());
+  const auto grid = tsg::bench::RunGrid(config, methods, tsg::data::AllDatasets());
   tsg::bench::ReportFailures(grid);
   const auto& rows = grid.rows;
   const auto measures = tsg::bench::DistinctMeasures(rows);

@@ -1,8 +1,8 @@
-// Sharded-grid supervisor: run after the bench_grid_worker processes exit.
-// Reclaims leftover leases (stale, or orphaned next to finished checkpoints),
-// loads every cell's checkpoint, computes any cell no worker finished (unless
-// --require_complete), and writes the grid summary + cache CSV. The summary is
-// byte-identical to a single-process RunGrid of the same config.
+// Grid supervisor: run after the bench_grid_worker processes exit. Runs the
+// grid sweep (bench::SweepGrid) once more, which loads every cell's checkpoint,
+// reclaims leases dead workers left behind, computes any cell no worker
+// finished (unless --require_complete), and writes the grid summary. The
+// summary is byte-identical to a single-process RunGrid of the same config.
 //
 // Flags: --methods=A,B --datasets=d1,d2 (default: full 10x10 paper grid),
 // --require_complete (strict: a missing checkpoint is an error),
@@ -14,14 +14,13 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "data/simulators.h"
-#include "methods/factory.h"
 
 int main(int argc, char** argv) {
   tsg::bench::ParseBenchFlags(&argc, argv);
   std::string methods_csv;
   std::string datasets_csv;
-  tsg::bench::MergeOptions options;
+  tsg::bench::SweepOptions options;
+  options.label = "grid-merge";
   options.compute_missing =
       !tsg::bench::ConsumeFlag(&argc, argv, "require_complete");
   std::string value;
@@ -54,8 +53,8 @@ int main(int argc, char** argv) {
   }
 
   const tsg::bench::BenchConfig config = tsg::bench::LoadConfig();
-  const auto merged = tsg::bench::MergeGridShards(config, methods.value(),
-                                                  datasets.value(), options);
+  const auto merged = tsg::bench::SweepGrid(config, methods.value(),
+                                            datasets.value(), options);
   if (!merged.ok()) {
     std::fprintf(stderr, "[grid-merge] merge failed: %s\n",
                  merged.status().ToString().c_str());

@@ -4,8 +4,9 @@
 // an interrupted batch job would. scripts/ci_smoke_grid.sh drives the full
 // kill -> resume -> byte-compare protocol and the --metrics_out determinism check.
 //
-// --shard runs the same grid as one sharded-grid worker (lease-claimed cells,
-// DESIGN.md §10) and --merge as the strict supervisor, so
+// Every mode runs the one grid sweep (bench::SweepGrid, DESIGN.md §10). --shard
+// labels the process as one of several concurrent workers and bounds its wait
+// on live peers; --merge is the strict supervisor that computes nothing. So
 // scripts/ci_sharded_grid.sh can drive a multi-worker kill/reclaim/merge cycle
 // with the identical kill instrumentation: a worker killed via
 // TSG_SMOKE_KILL_AFTER dies between claiming a cell's lease and checkpointing
@@ -123,48 +124,28 @@ int main(int argc, char** argv) {
   const std::vector<tsg::data::DatasetId> datasets = {tsg::data::DatasetId::kDlg,
                                                       tsg::data::DatasetId::kStock};
 
+  tsg::bench::SweepOptions options;
   if (shard_mode) {
-    tsg::bench::ShardOptions options;
-    options.worker_label = "smoke-shard";
+    options.label = "smoke-shard";
     options.max_wait_seconds = 120.0;  // A hung peer fails the CI job fast.
-    const auto completed =
-        tsg::bench::RunGridShard(config, methods, datasets, options);
-    if (!completed.ok()) {
-      std::fprintf(stderr, "[smoke] shard failed: %s\n",
-                   completed.status().ToString().c_str());
-      tsg::bench::WriteMetricsSnapshot();
-      return 1;
-    }
-    std::printf("[smoke] shard complete: computed %lld cells\n",
-                static_cast<long long>(completed.value()));
-    tsg::bench::WriteMetricsSnapshot();
-    return 0;
   }
-
   if (merge_mode) {
-    tsg::bench::MergeOptions options;
+    options.label = "smoke-merge";
     // Strict: the workers must have covered the whole grid — the supervisor
     // merging CI artifacts should never silently train cells itself.
     options.compute_missing = false;
-    const auto merged =
-        tsg::bench::MergeGridShards(config, methods, datasets, options);
-    if (!merged.ok()) {
-      std::fprintf(stderr, "[smoke] merge failed: %s\n",
-                   merged.status().ToString().c_str());
-      tsg::bench::WriteMetricsSnapshot();
-      return 1;
-    }
-    const size_t failures = tsg::bench::ReportFailures(merged.value());
-    std::printf("[smoke] merge complete: %zu rows, %zu failed cells\n",
-                merged.value().rows.size(), failures);
-    tsg::bench::WriteMetricsSnapshot();
-    return failures == 0 ? 0 : 1;
   }
-
-  const auto grid = tsg::bench::RunGrid(config, methods, datasets);
-  const size_t failures = tsg::bench::ReportFailures(grid);
-  std::printf("[smoke] grid complete: %zu rows, %zu failed cells\n",
-              grid.rows.size(), failures);
+  const auto grid = tsg::bench::SweepGrid(config, methods, datasets, options);
+  if (!grid.ok()) {
+    std::fprintf(stderr, "[smoke] %s failed: %s\n", options.label.c_str(),
+                 grid.status().ToString().c_str());
+    tsg::bench::WriteMetricsSnapshot();
+    return 1;
+  }
+  const size_t failures = tsg::bench::ReportFailures(grid.value());
+  std::printf("[smoke] %s complete: computed %lld cells, %zu rows, %zu failed cells\n",
+              options.label.c_str(), static_cast<long long>(grid.value().computed),
+              grid.value().rows.size(), failures);
   tsg::bench::WriteMetricsSnapshot();
   return failures == 0 ? 0 : 1;
 }

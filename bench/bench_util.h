@@ -1,37 +1,13 @@
 #ifndef TSG_BENCH_BENCH_UTIL_H_
 #define TSG_BENCH_BENCH_UTIL_H_
 
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "base/status.h"
-#include "core/harness.h"
-#include "core/preprocess.h"
 #include "core/ranking.h"
-#include "data/simulators.h"
+#include "grid/grid.h"
 
 namespace tsg::bench {
-
-/// Global knobs shared by every bench binary. Defaults give a laptop-scale run that
-/// finishes in minutes; TSGBENCH_SCALE=<x> multiplies the budget (dataset size,
-/// training epochs, evaluation repeats) toward paper fidelity.
-struct BenchConfig {
-  double scale = 1.0;          ///< TSGBENCH_SCALE multiplier.
-  uint64_t seed = 42;          ///< TSGBENCH_SEED.
-  std::string out_dir = "bench_out";  ///< TSGBENCH_OUT.
-  /// TSGBENCH_STORE_DIR: trained-model artifact store directory. When set, grid
-  /// cells consult the store before fitting (hit -> restore, zero training) and
-  /// publish their fitted model after training, so a second run against the
-  /// same store retrains nothing. Empty = store disabled.
-  std::string store_dir;
-
-  double dataset_scale() const { return 0.02 * scale; }
-  double epoch_scale() const { return 0.2 * scale; }
-  int stochastic_repeats() const { return scale >= 2.0 ? 5 : 2; }
-  int64_t max_eval_samples() const { return scale >= 2.0 ? 256 : 96; }
-};
 
 /// Reads TSGBENCH_SCALE / TSGBENCH_SEED / TSGBENCH_OUT / TSGBENCH_STORE_DIR and
 /// ensures out_dir exists.
@@ -65,139 +41,6 @@ const std::string& MetricsOutPath();
 /// path (atomic write). No-op without the flag. Bench mains call this last so
 /// the snapshot covers the whole run.
 void WriteMetricsSnapshot();
-
-/// One fitted-and-evaluated grid cell (long format, one row per measure) plus the
-/// training time (M8).
-struct GridRow {
-  std::string method;
-  std::string dataset;
-  std::string measure;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double fit_seconds = 0.0;
-};
-
-/// A (method, dataset) cell that failed recoverably — a diverged fit, non-finite
-/// generated data, or a measure error. The grid records it and keeps going.
-struct CellError {
-  std::string method;
-  std::string dataset;
-  std::string error;  ///< Status string with method/phase/epoch context.
-};
-
-/// The outcome of a grid run: score rows for the cells that succeeded (dataset-
-/// major sweep order) plus an error record per failed cell (same order).
-struct GridResult {
-  std::vector<GridRow> rows;
-  std::vector<CellError> failures;
-};
-
-/// Preprocesses one simulated dataset under the benchmark defaults.
-core::Preprocessed PrepareDataset(data::DatasetId id, const BenchConfig& config);
-
-/// The harness configuration every grid execution mode derives from `config`
-/// (options.store left null — callers attach their own). Exported so out-of-
-/// process servers (the tsgd daemon) evaluate cells with exactly the options a
-/// batch grid would, which is what makes their results byte-identical.
-core::HarnessOptions GridHarnessOptions(const BenchConfig& config);
-
-/// Directory holding one atomically written checkpoint file per completed
-/// (method, dataset) cell, keyed by the config. A killed grid run resumes from
-/// these: completed cells are loaded instead of recomputed, and because every
-/// cell seeds its Rng chain from the config alone, the resumed run's outputs are
-/// byte-identical to an uninterrupted run.
-std::string CheckpointDir(const BenchConfig& config);
-
-/// Path of the deterministic JSON summary artifact written after every grid run:
-/// per-cell status, scores for completed cells, and error records for failed
-/// ones. Wall-clock timings are deliberately excluded (they live in the CSV
-/// cache) so the file is byte-identical across reruns and kill/resume cycles.
-std::string GridSummaryPath(const BenchConfig& config);
-
-/// Computes the benchmarking grid: every (method, dataset) cell is fitted and
-/// evaluated as an independent task on the global thread pool (TSG_THREADS-many at
-/// once), and rows are assembled in the serial dataset-major order. Every cell
-/// seeds its own Rng chain from the config, so the rows are bit-identical to a
-/// single-threaded run. A failing cell (diverged fit, NaN loss, measure error)
-/// becomes a CellError while the rest of the grid completes. Completed cells are
-/// checkpointed under CheckpointDir() and skipped on the next run; the JSON
-/// summary at GridSummaryPath() is (re)written atomically at the end.
-GridResult RunGrid(const BenchConfig& config,
-                   const std::vector<std::string>& methods,
-                   const std::vector<data::DatasetId>& datasets);
-
-/// One sharded-grid worker process (DESIGN.md §10). Workers coordinate only
-/// through files in CheckpointDir(config): a cell is claimed by atomically
-/// creating `<checkpoint>.lease` (io::AcquireLease), computed through the same
-/// store-aware harness path as RunGrid, checkpointed atomically, and released.
-/// A worker that dies mid-cell leaves a lease that any survivor detects as dead
-/// (same-host pid probe, or the `lease_stale_seconds` TTL) and reclaims via
-/// io::BreakLease — exactly one survivor wins the steal. Because every cell is
-/// a pure function of the config, it does not matter which worker computes a
-/// cell: the checkpoint bytes are identical either way.
-struct ShardOptions {
-  std::string worker_label = "shard";  ///< Log / trace prefix only.
-  /// A held lease at least this old is reclaimable even when its owner cannot
-  /// be probed (foreign host). Same-host dead owners are reclaimed immediately.
-  double lease_stale_seconds = 300.0;
-  /// Give up after this long with pending cells but no progress anywhere (a
-  /// hung live owner would otherwise block the worker forever).
-  double max_wait_seconds = 600.0;
-  double poll_seconds = 0.05;  ///< Sleep between sweeps while waiting.
-  /// Cooperative stop hook for long-running hosts (the tsgd daemon's drain and
-  /// cancel paths). Polled between cells, never mid-cell: when it returns true
-  /// the worker stops claiming cells and returns FailedPrecondition. Cells
-  /// already checkpointed stay durable, so a later run of the same config
-  /// resumes from them byte-identically. Null = never stop.
-  std::function<bool()> should_stop;
-};
-
-/// Sweeps the (method, dataset) grid claiming pending cells per ShardOptions
-/// until every cell has a checkpoint, then returns how many cells this worker
-/// computed itself. FailedPrecondition on a no-progress timeout.
-StatusOr<int64_t> RunGridShard(const BenchConfig& config,
-                               const std::vector<std::string>& methods,
-                               const std::vector<data::DatasetId>& datasets,
-                               const ShardOptions& options);
-
-struct MergeOptions {
-  /// When true, the supervisor computes any cell no worker completed (after
-  /// reclaiming its lease). When false a missing checkpoint is an error — the
-  /// strict mode CI uses to prove the workers really covered the grid.
-  bool compute_missing = true;
-  double lease_stale_seconds = 300.0;  ///< Same reclaim TTL as ShardOptions.
-};
-
-/// Supervisor pass, run after the workers exit: reclaims leftover leases
-/// (stale, or orphaned next to a finished checkpoint), loads every cell's
-/// checkpoint, computes stragglers when allowed, and writes the grid summary
-/// and cache CSV. The summary is byte-identical to a single-process RunGrid of
-/// the same config — checkpoints round-trip doubles through %.17g, so merged
-/// outcomes equal computed outcomes bit for bit. Fails with NotFound (strict
-/// mode, missing cell) or FailedPrecondition (a live worker still holds a
-/// lease).
-StatusOr<GridResult> MergeGridShards(const BenchConfig& config,
-                                     const std::vector<std::string>& methods,
-                                     const std::vector<data::DatasetId>& datasets,
-                                     const MergeOptions& options);
-
-/// Parses a comma-separated dataset-name list ("dlg,stock") against
-/// data::DatasetName. An empty string means data::AllDatasets().
-StatusOr<std::vector<data::DatasetId>> ParseDatasetList(const std::string& csv);
-
-/// Parses a comma-separated method list against methods::AllMethodNames().
-/// An empty string means every registered paper method.
-StatusOr<std::vector<std::string>> ParseMethodList(const std::string& csv);
-
-/// Runs the full benchmarking grid (methods x datasets x measure suite) and returns
-/// long-format rows plus failures. Results are cached as CSV in
-/// <out_dir>/grid_cells_*.csv keyed by the config; reruns with the same config load
-/// the cache so the Figure 1/5/8 binaries do not recompute each other's work. Set
-/// `force` to recompute.
-GridResult LoadOrComputeGrid(const BenchConfig& config,
-                             const std::vector<std::string>& methods,
-                             const std::vector<data::DatasetId>& datasets,
-                             bool force = false);
 
 /// Prints any failed cells to stderr; returns the number of failures. Bench mains
 /// call this so partial grids are visible without aborting the figure.

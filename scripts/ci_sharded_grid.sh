@@ -102,15 +102,15 @@ if [[ "$reclaimed" -lt 1 ]]; then
   echo "error: grid.cells.reclaimed = $reclaimed across survivors, expected >= 1" >&2
   exit 1
 fi
-completed=$(counter_sum "grid.shard.cells.completed" "${snapshots[@]}")
+completed=$(counter_sum "grid.cells.computed" "${snapshots[@]}")
 expect_eq "cells computed by survivors" "$completed" 3
 
 echo "== 4. strict merge + byte-compare against the single-process summary"
 TSGBENCH_OUT="$OUT" "$BIN" --merge --metrics_out="$OUT/metrics_merge.json"
 expect_eq "merged cells loaded from checkpoints" \
-  "$(counter_sum "grid.shard.merge.cells_loaded" "$OUT/metrics_merge.json")" 4
+  "$(counter_sum "grid.cells.resumed" "$OUT/metrics_merge.json")" 4
 expect_eq "cells the merge had to compute itself" \
-  "$(counter_sum "grid.shard.merge.cells_computed" "$OUT/metrics_merge.json")" 0
+  "$(counter_sum "grid.cells.computed" "$OUT/metrics_merge.json")" 0
 cmp "$OUT"/grid_summary_*.json "$WORK/ref"/grid_summary_*.json
 
 echo "sharded grid OK: kill reclaimed by a survivor, merged summary byte-identical"

@@ -193,9 +193,13 @@ StatusOr<MethodRunResult> Harness::RunMethod(TsgMethod& method,
   const int64_t count = std::min(options_.max_eval_samples, train.num_samples());
   Rng gen_rng(options_.seed ^ 0x6E4E12A7);
   Stopwatch generate_watch;
-  obs::ScopedTimer generate_span("generate");
-  Dataset generated(result.method + "@" + result.dataset,
-                    method.Generate(count, gen_rng));
+  std::vector<linalg::Matrix> samples;
+  {
+    // Scoped so "evaluate" below is a sibling of "generate", not its child.
+    const obs::ScopedTimer generate_span("generate");
+    samples = method.Generate(count, gen_rng);
+  }
+  Dataset generated(result.method + "@" + result.dataset, std::move(samples));
   metrics.RecordTimer("harness.generate_seconds." + result.method,
                       generate_watch.ElapsedSeconds());
   if (generated.num_samples() != count ||

@@ -1,5 +1,9 @@
 #include "io/atomic_file.h"
 
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -7,7 +11,12 @@
 namespace tsg::io {
 
 Status WriteFileAtomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
+  // Unique per writer: concurrent writers of one path (grid workers finishing
+  // together all write the same summary) must not share, truncate or rename
+  // away each other's temp file.
+  static std::atomic<uint64_t> sequence{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(sequence.fetch_add(1));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {

@@ -10,7 +10,8 @@ namespace tsg::io {
 /// Writes `content` to `path` through a temp file + rename, so readers never
 /// observe a partially written artifact and a writer killed mid-write leaves any
 /// previous version of the file intact. The temp file lives next to the target
-/// (`<path>.tmp`), so the rename stays on one filesystem and is atomic on POSIX.
+/// (`<path>.tmp.<pid>.<n>`, unique per call, so concurrent writers of one path
+/// never collide), and the rename stays on one filesystem, atomic on POSIX.
 Status WriteFileAtomic(const std::string& path, const std::string& content);
 
 /// Reads `path` in full (binary, no newline translation). Returns kNotFound when

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -19,14 +20,16 @@ void AppendRow(std::string& out, const std::vector<std::string>& row) {
   }
 }
 
-/// Parses one cell as a double. The full cell must be consumed apart from
-/// surrounding whitespace — "1.5abc" and "" are errors, unlike bare strtod.
+}  // namespace
+
 bool ParseDoubleCell(const std::string& cell, double* out) {
   const char* begin = cell.c_str();
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(begin, &end);
-  if (end == begin || errno != 0) return false;
+  // ERANGE on underflow still yields the correctly rounded subnormal or zero;
+  // only overflow (a finite literal beyond DBL_MAX) is out of range.
+  if (end == begin || (errno == ERANGE && std::isinf(v))) return false;
   while (*end != '\0') {
     if (!std::isspace(static_cast<unsigned char>(*end))) return false;
     ++end;
@@ -34,8 +37,6 @@ bool ParseDoubleCell(const std::string& cell, double* out) {
   *out = v;
   return true;
 }
-
-}  // namespace
 
 std::string EscapeCsvField(const std::string& cell) {
   const bool needs_quotes =

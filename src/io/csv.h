@@ -25,6 +25,12 @@ Status WriteCsvRows(const std::string& path,
 /// Quotes one cell for CSV output if (and only if) it needs it per RFC 4180.
 std::string EscapeCsvField(const std::string& cell);
 
+/// Parses one cell as a double. The full cell must be consumed apart from
+/// surrounding whitespace — "1.5abc", "abc" and "" are errors, unlike bare
+/// strtod. Everything %.17g prints parses back bit-for-bit: "nan", "inf" and
+/// subnormals included; only out-of-range values such as "1e999" are rejected.
+bool ParseDoubleCell(const std::string& cell, double* out);
+
 /// Reads a CSV file into string records. Handles RFC-4180 quoting (embedded
 /// commas, doubled quotes, embedded newlines), CRLF line endings, and preserves
 /// trailing empty fields ("1,2," is three fields). Lines that are entirely empty

@@ -210,14 +210,11 @@ StatusOr<std::string> BenchJobRunner::RunGridJob(
                        bench::ParseMethodList(JoinCsv(spec.methods)));
   TSG_ASSIGN_OR_RETURN(const std::vector<data::DatasetId> datasets,
                        bench::ParseDatasetList(JoinCsv(spec.datasets)));
-  bench::ShardOptions options;
-  options.worker_label = "tsgd-grid";
+  bench::SweepOptions options;
+  options.label = "tsgd-grid";
   options.should_stop = should_stop;
-  TSG_ASSIGN_OR_RETURN(const int64_t computed,
-                       bench::RunGridShard(config_, methods, datasets, options));
-  TSG_ASSIGN_OR_RETURN(const bench::GridResult merged,
-                       bench::MergeGridShards(config_, methods, datasets,
-                                              bench::MergeOptions{}));
+  TSG_ASSIGN_OR_RETURN(const bench::GridResult grid,
+                       bench::SweepGrid(config_, methods, datasets, options));
   const std::string summary_path = bench::GridSummaryPath(config_);
   TSG_ASSIGN_OR_RETURN(const std::string summary,
                        io::ReadFileToString(summary_path));
@@ -226,9 +223,9 @@ StatusOr<std::string> BenchJobRunner::RunGridJob(
   json.Key("summary").String(summary_path);
   json.Key("digest").String(
       HexU64(base::Fnv64Bytes(summary.data(), summary.size())));
-  json.Key("rows").Int(static_cast<int64_t>(merged.rows.size()));
-  json.Key("failed").Int(static_cast<int64_t>(merged.failures.size()));
-  json.Key("computed").Int(computed);
+  json.Key("rows").Int(static_cast<int64_t>(grid.rows.size()));
+  json.Key("failed").Int(static_cast<int64_t>(grid.failures.size()));
+  json.Key("computed").Int(grid.computed);
   json.EndObject();
   return AsRawMembers(json);
 }

@@ -8,9 +8,9 @@
 #include <string>
 
 #include "base/status.h"
-#include "bench_util.h"
 #include "core/harness.h"
 #include "core/preprocess.h"
+#include "grid/grid.h"
 #include "serve/protocol.h"
 #include "store/artifact_store.h"
 #include "store/serving_cache.h"
@@ -45,11 +45,11 @@ class JobRunner {
 ///   evaluate — one (method, dataset) cell through core::Harness::RunMethod
 ///              with the exact grid options; the score members round doubles
 ///              through %.17g like the grid summary.
-///   grid     — bench::RunGridShard + MergeGridShards over the daemon's
-///              BenchConfig: cells checkpoint under grid_ckpt_*/, a killed
-///              daemon resumes from them byte-identically, and `should_stop`
-///              stops between cells for drain/cancel. Result: summary path +
-///              FNV-64 digest of the summary file.
+///   grid     — bench::SweepGrid over the daemon's BenchConfig: cells
+///              checkpoint under grid_ckpt_*/, a killed daemon resumes from
+///              them byte-identically, and `should_stop` stops between cells
+///              for drain/cancel. Result: summary path + FNV-64 digest of the
+///              summary file.
 ///   stream_eval — attach a streameval::StreamEvaluator to the tenant's
 ///              generate stream: chunked ServingCache generation (chunk b uses
 ///              seed gen_seed + b) feeds windowed online measures whose live

@@ -1,6 +1,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -13,6 +14,7 @@
 
 #include "ag/ops.h"
 #include "bench_util.h"
+#include "io/csv.h"
 #include "io/lease.h"
 #include "methods/common.h"
 #include "methods/factory.h"
@@ -103,28 +105,153 @@ TEST(DistinctTest, PreservesFirstSeenOrder) {
   EXPECT_EQ(datasets[0], "d2");
 }
 
+/// Returns the value of a global counter (0 when it does not exist yet).
+int64_t CounterValue(const std::string& name) {
+  return obs::MetricRegistry::Global().GetCounter(name).value();
+}
+
+/// The lease path the grid sweep uses for (TimeVAE, DLG) cells — both names are
+/// filesystem-safe, so the mapping is the checkpoint path + ".lease".
+std::string LeasePathFor(const BenchConfig& config, const std::string& method,
+                         const std::string& dataset) {
+  return CheckpointDir(config) + "/" + method + "__" + dataset + ".csv.lease";
+}
+
+/// A token whose pid is guaranteed dead on this host: a reaped fork child.
+std::string DeadOwnerToken() {
+  const pid_t child = fork();
+  EXPECT_GE(child, 0);
+  if (child == 0) _exit(0);
+  int wstatus = 0;
+  EXPECT_EQ(waitpid(child, &wstatus, 0), child);
+  char host[256] = {};
+  EXPECT_EQ(gethostname(host, sizeof(host) - 1), 0);
+  return std::string(host) + ":" + std::to_string(child) + ":dead";
+}
+
+bool BitEqual(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+/// The `.lease` files left in a checkpoint directory.
+int CountLeases(const BenchConfig& config) {
+  int leases = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(CheckpointDir(config))) {
+    if (entry.path().extension() == ".lease") ++leases;
+  }
+  return leases;
+}
+
+/// The checkpoint directory is the grid's only cache: a second RunGrid over the
+/// same out_dir computes nothing and returns the first run's rows bit for bit,
+/// wall-clock fit times included.
 TEST(GridCacheTest, RoundTripsThroughCsv) {
   BenchConfig config;
   config.out_dir = "/tmp/tsg_bench_cache_test";
-  config.scale = 0.31;  // Unique cache key for this test.
-  std::filesystem::create_directories(config.out_dir);
-
-  // Seed the cache by computing a 1x1 grid with a minimal budget.
-  BenchConfig tiny = config;
+  config.scale = 0.31;  // Unique checkpoint key for this test.
+  std::filesystem::remove_all(config.out_dir);
   const std::vector<std::string> methods = {"TimeVAE"};
   const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg};
-  const auto grid = LoadOrComputeGrid(tiny, methods, datasets, /*force=*/true);
+  const auto grid = RunGrid(config, methods, datasets);
   ASSERT_FALSE(grid.rows.empty());
   EXPECT_TRUE(grid.failures.empty());
+  EXPECT_EQ(grid.computed, 1);
 
-  // Second call must hit the cache and return identical values.
-  const auto cached = LoadOrComputeGrid(tiny, methods, datasets, /*force=*/false);
+  const int64_t computed_before = CounterValue("grid.cells.computed");
+  const auto cached = RunGrid(config, methods, datasets);
+  EXPECT_EQ(CounterValue("grid.cells.computed"), computed_before);
+  EXPECT_EQ(cached.computed, 0);
   ASSERT_EQ(cached.rows.size(), grid.rows.size());
   for (size_t i = 0; i < grid.rows.size(); ++i) {
     EXPECT_EQ(cached.rows[i].method, grid.rows[i].method);
+    EXPECT_EQ(cached.rows[i].dataset, grid.rows[i].dataset);
     EXPECT_EQ(cached.rows[i].measure, grid.rows[i].measure);
-    EXPECT_NEAR(cached.rows[i].mean, grid.rows[i].mean, 1e-6);
+    EXPECT_TRUE(BitEqual(cached.rows[i].mean, grid.rows[i].mean));
+    EXPECT_TRUE(BitEqual(cached.rows[i].stddev, grid.rows[i].stddev));
+    EXPECT_TRUE(BitEqual(cached.rows[i].fit_seconds, grid.rows[i].fit_seconds));
   }
+  std::filesystem::remove_all(config.out_dir);
+}
+
+/// A checkpoint whose numbers do not parse in full is not trusted: the cell is
+/// recomputed and its checkpoint rewritten, instead of loading "0.12x" as 0.12.
+TEST(GridCheckpointTest, NonNumericMeanIsRecomputed) {
+  BenchConfig config;
+  config.scale = 0.2;
+  config.out_dir = "/tmp/tsg_bench_ckpt_corrupt";
+  std::filesystem::remove_all(config.out_dir);
+  const std::vector<std::string> methods = {"TimeVAE"};
+  const std::vector<data::DatasetId> datasets = {data::DatasetId::kDlg};
+  const auto clean = RunGrid(config, methods, datasets);
+  ASSERT_TRUE(clean.failures.empty());
+  const std::string ckpt = CheckpointDir(config) + "/TimeVAE__DLG.csv";
+
+  for (const std::string bad : {"0.12x", "abc"}) {
+    auto lines = io::ReadCsvRows(ckpt);
+    ASSERT_TRUE(lines.ok()) << lines.status().ToString();
+    ASSERT_GE(lines.value().size(), 2u);
+    ASSERT_EQ(lines.value()[0][4], "mean");
+    lines.value()[1][4] = bad;
+    ASSERT_TRUE(io::WriteCsvRows(ckpt, lines.value()).ok());
+
+    const int64_t computed_before = CounterValue("grid.cells.computed");
+    const auto again = RunGrid(config, methods, datasets);
+    EXPECT_EQ(again.computed, 1) << bad;
+    EXPECT_EQ(CounterValue("grid.cells.computed"), computed_before + 1) << bad;
+    ASSERT_EQ(again.rows.size(), clean.rows.size());
+    for (size_t i = 0; i < clean.rows.size(); ++i) {
+      EXPECT_TRUE(BitEqual(again.rows[i].mean, clean.rows[i].mean)) << bad;
+    }
+    auto rewritten = io::ReadCsvRows(ckpt);
+    ASSERT_TRUE(rewritten.ok());
+    double mean = 0.0;
+    EXPECT_TRUE(io::ParseDoubleCell(rewritten.value()[1][4], &mean)) << bad;
+  }
+  std::filesystem::remove_all(config.out_dir);
+}
+
+/// Everything %.17g writes loads back: NaN, infinities and subnormals are
+/// valid scores, not corrupt cells.
+TEST(GridCheckpointTest, NonFiniteAndSubnormalScoresLoad) {
+  BenchConfig config;
+  config.scale = 0.2;
+  config.out_dir = "/tmp/tsg_bench_ckpt_nonfinite";
+  std::filesystem::remove_all(config.out_dir);
+  std::filesystem::create_directories(CheckpointDir(config));
+  ASSERT_TRUE(io::WriteCsvRows(
+                  CheckpointDir(config) + "/TimeVAE__DLG.csv",
+                  {{"status", "method", "dataset", "measure", "mean", "stddev",
+                    "fit_seconds", "error"},
+                   {"ok", "TimeVAE", "DLG", "A", "nan", "inf", "1.5", ""},
+                   {"ok", "TimeVAE", "DLG", "B", "-inf", "4.9406564584124654e-324",
+                    "1.5", ""}})
+                  .ok());
+  const auto grid = RunGrid(config, {"TimeVAE"}, {data::DatasetId::kDlg});
+  EXPECT_EQ(grid.computed, 0);
+  ASSERT_EQ(grid.rows.size(), 2u);
+  EXPECT_TRUE(std::isnan(grid.rows[0].mean));
+  EXPECT_EQ(grid.rows[0].stddev, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(grid.rows[1].mean, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(grid.rows[1].stddev, std::numeric_limits<double>::denorm_min());
+  std::filesystem::remove_all(config.out_dir);
+}
+
+/// RunGrid honours the lease protocol: a cell whose owner died mid-compute is
+/// reclaimed, and no lease outlives the run.
+TEST(GridLeaseTest, RunGridReclaimsDeadOwnersLease) {
+  BenchConfig config;
+  config.scale = 0.2;
+  config.out_dir = "/tmp/tsg_bench_rungrid_reclaim";
+  std::filesystem::remove_all(config.out_dir);
+  std::filesystem::create_directories(CheckpointDir(config));
+  ASSERT_TRUE(io::AcquireLease(LeasePathFor(config, "TimeVAE", "DLG"),
+                               DeadOwnerToken())
+                  .value());
+
+  const int64_t reclaimed_before = CounterValue("grid.cells.reclaimed");
+  const auto grid = RunGrid(config, {"TimeVAE"}, {data::DatasetId::kDlg});
+  EXPECT_TRUE(grid.failures.empty());
+  EXPECT_EQ(grid.computed, 1);
+  EXPECT_EQ(CounterValue("grid.cells.reclaimed"), reclaimed_before + 1);
+  EXPECT_EQ(CountLeases(config), 0);
   std::filesystem::remove_all(config.out_dir);
 }
 
@@ -260,33 +387,9 @@ TEST(GridResumeTest, InterruptedGridResumesByteIdentical) {
   std::filesystem::remove_all(resumed.out_dir);
 }
 
-// ---- Sharded execution (ISSUE 8): lease-claimed workers and the supervisor
-// merge must reproduce the single-process grid byte for byte, reclaim cells
-// whose owner died, and surface error cells through the merge. ----
-
-/// Returns the value of a global counter (0 when it does not exist yet).
-int64_t CounterValue(const std::string& name) {
-  return obs::MetricRegistry::Global().GetCounter(name).value();
-}
-
-/// The lease path RunGridShard uses for (TimeVAE, DLG) cells — both names are
-/// filesystem-safe, so the mapping is the checkpoint path + ".lease".
-std::string LeasePathFor(const BenchConfig& config, const std::string& method,
-                         const std::string& dataset) {
-  return CheckpointDir(config) + "/" + method + "__" + dataset + ".csv.lease";
-}
-
-/// A token whose pid is guaranteed dead on this host: a reaped fork child.
-std::string DeadOwnerToken() {
-  const pid_t child = fork();
-  EXPECT_GE(child, 0);
-  if (child == 0) _exit(0);
-  int wstatus = 0;
-  EXPECT_EQ(waitpid(child, &wstatus, 0), child);
-  char host[256] = {};
-  EXPECT_EQ(gethostname(host, sizeof(host) - 1), 0);
-  return std::string(host) + ":" + std::to_string(child) + ":dead";
-}
+// ---- Concurrent sweeps: lease-claimed workers and a strict supervisor sweep
+// must reproduce the single-process grid byte for byte, reclaim cells whose
+// owner died, and surface error cells. ----
 
 TEST(ShardedGridTest, WorkerPlusStrictMergeMatchesSingleProcessByteForByte) {
   const std::vector<std::string> methods = {"TimeVAE"};
@@ -304,16 +407,16 @@ TEST(ShardedGridTest, WorkerPlusStrictMergeMatchesSingleProcessByteForByte) {
   sharded.out_dir = "/tmp/tsg_shard_worker";
   std::filesystem::remove_all(sharded.out_dir);
   std::filesystem::create_directories(sharded.out_dir);
-  ShardOptions options;
-  options.worker_label = "test-shard";
-  const auto completed = RunGridShard(sharded, methods, datasets, options);
+  SweepOptions options;
+  options.label = "test-shard";
+  const auto completed = SweepGrid(sharded, methods, datasets, options);
   ASSERT_TRUE(completed.ok()) << completed.status().ToString();
-  EXPECT_EQ(completed.value(), 2);
+  EXPECT_EQ(completed.value().computed, 2);
 
   // Strict merge: every cell must come from a worker checkpoint.
-  MergeOptions merge_options;
+  SweepOptions merge_options;
   merge_options.compute_missing = false;
-  const auto merged = MergeGridShards(sharded, methods, datasets, merge_options);
+  const auto merged = SweepGrid(sharded, methods, datasets, merge_options);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   ASSERT_EQ(merged.value().rows.size(), clean_grid.rows.size());
 
@@ -323,9 +426,9 @@ TEST(ShardedGridTest, WorkerPlusStrictMergeMatchesSingleProcessByteForByte) {
   EXPECT_EQ(clean_summary, merged_summary);
 
   // An overlapping second worker finds every cell checkpointed: zero computed.
-  const auto again = RunGridShard(sharded, methods, datasets, options);
+  const auto again = SweepGrid(sharded, methods, datasets, options);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value(), 0);
+  EXPECT_EQ(again.value().computed, 0);
 
   std::filesystem::remove_all(clean.out_dir);
   std::filesystem::remove_all(sharded.out_dir);
@@ -345,14 +448,14 @@ TEST(ShardedGridTest, DeadOwnersLeaseIsStolenAndCellReclaimed) {
   ASSERT_TRUE(io::AcquireLease(lease, DeadOwnerToken()).value());
 
   const int64_t reclaimed_before = CounterValue("grid.cells.reclaimed");
-  const int64_t stolen_before = CounterValue("grid.shard.leases.stolen");
-  ShardOptions options;
-  options.worker_label = "test-reclaim";
-  const auto completed = RunGridShard(config, methods, datasets, options);
+  const int64_t stolen_before = CounterValue("grid.leases.stolen");
+  SweepOptions options;
+  options.label = "test-reclaim";
+  const auto completed = SweepGrid(config, methods, datasets, options);
   ASSERT_TRUE(completed.ok()) << completed.status().ToString();
-  EXPECT_EQ(completed.value(), 1);
+  EXPECT_EQ(completed.value().computed, 1);
   EXPECT_EQ(CounterValue("grid.cells.reclaimed"), reclaimed_before + 1);
-  EXPECT_EQ(CounterValue("grid.shard.leases.stolen"), stolen_before + 1);
+  EXPECT_EQ(CounterValue("grid.leases.stolen"), stolen_before + 1);
   EXPECT_FALSE(std::filesystem::exists(lease));
 
   std::filesystem::remove_all(config.out_dir);
@@ -371,16 +474,17 @@ TEST(ShardedGridTest, LiveLeaseTimesOutWorkerAndBlocksMerge) {
   const std::string lease = LeasePathFor(config, "TimeVAE", "DLG");
   ASSERT_TRUE(io::AcquireLease(lease, io::LeaseOwnerToken()).value());
 
-  ShardOptions options;
-  options.worker_label = "test-live";
+  SweepOptions options;
+  options.label = "test-live";
   options.max_wait_seconds = 0.2;
-  options.poll_seconds = 0.02;
-  const auto completed = RunGridShard(config, methods, datasets, options);
+  const auto completed = SweepGrid(config, methods, datasets, options);
   ASSERT_FALSE(completed.ok());
   EXPECT_EQ(completed.status().code(), StatusCode::kFailedPrecondition);
 
-  MergeOptions merge_options;
-  const auto merged = MergeGridShards(config, methods, datasets, merge_options);
+  // A merging sweep that may compute the cell waits on the live owner too.
+  SweepOptions merge_options;
+  merge_options.max_wait_seconds = 0.2;
+  const auto merged = SweepGrid(config, methods, datasets, merge_options);
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kFailedPrecondition);
 
@@ -396,9 +500,9 @@ TEST(ShardedGridTest, StrictMergeFailsOnMissingCheckpoint) {
   std::filesystem::remove_all(config.out_dir);
   std::filesystem::create_directories(config.out_dir);
 
-  MergeOptions options;
+  SweepOptions options;
   options.compute_missing = false;
-  const auto merged = MergeGridShards(config, methods, datasets, options);
+  const auto merged = SweepGrid(config, methods, datasets, options);
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kNotFound);
 
@@ -426,15 +530,13 @@ TEST(ShardedGridTest, MergeComputesMissingCellsAndMatchesCleanRun) {
                                DeadOwnerToken())
                   .value());
 
-  const int64_t reclaimed_before =
-      CounterValue("grid.shard.merge.leases_reclaimed");
-  MergeOptions options;
+  const int64_t reclaimed_before = CounterValue("grid.leases.stolen");
+  SweepOptions options;
   options.compute_missing = true;
-  const auto merged = MergeGridShards(merged_config, methods, datasets, options);
+  const auto merged = SweepGrid(merged_config, methods, datasets, options);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   ASSERT_EQ(merged.value().rows.size(), clean_grid.rows.size());
-  EXPECT_EQ(CounterValue("grid.shard.merge.leases_reclaimed"),
-            reclaimed_before + 1);
+  EXPECT_EQ(CounterValue("grid.leases.stolen"), reclaimed_before + 1);
 
   const std::string clean_summary = ReadWholeFile(GridSummaryPath(clean));
   const std::string merged_summary = ReadWholeFile(GridSummaryPath(merged_config));
@@ -461,15 +563,15 @@ TEST(ShardedGridTest, MergeCarriesErrorCellsFromWorkerCheckpoints) {
   std::filesystem::remove_all(config.out_dir);
   std::filesystem::create_directories(config.out_dir);
 
-  ShardOptions options;
-  options.worker_label = "test-errors";
-  const auto completed = RunGridShard(config, methods, datasets, options);
+  SweepOptions options;
+  options.label = "test-errors";
+  const auto completed = SweepGrid(config, methods, datasets, options);
   ASSERT_TRUE(completed.ok()) << completed.status().ToString();
-  EXPECT_EQ(completed.value(), 2);  // The failing cell still checkpoints.
+  EXPECT_EQ(completed.value().computed, 2);  // The failing cell still checkpoints.
 
-  MergeOptions merge_options;
+  SweepOptions merge_options;
   merge_options.compute_missing = false;
-  const auto merged = MergeGridShards(config, methods, datasets, merge_options);
+  const auto merged = SweepGrid(config, methods, datasets, merge_options);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   ASSERT_EQ(merged.value().failures.size(), 1u);
   EXPECT_EQ(merged.value().failures[0].method, "ShardFaulty");

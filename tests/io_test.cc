@@ -4,8 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -52,6 +55,29 @@ TEST(CsvTest, ReadMissingFileFails) {
 
 TEST(CsvTest, WriteToBadPathFails) {
   EXPECT_FALSE(WriteCsv("/nonexistent/dir/x.csv", {}, linalg::Matrix(1, 1)).ok());
+}
+
+TEST(CsvTest, ParseDoubleCellConsumesTheWholeCell) {
+  double v = 0.0;
+  for (const char* bad : {"0.12x", "abc", "", " ", "1e999", "-1e999", "1.5 2"}) {
+    EXPECT_FALSE(ParseDoubleCell(bad, &v)) << bad;
+  }
+  ASSERT_TRUE(ParseDoubleCell(" 0.25 ", &v));
+  EXPECT_EQ(v, 0.25);
+  // Every %.17g rendering parses back bit-for-bit, non-finite and subnormal too.
+  for (const double x :
+       {0.1, -3.0e-300, 4.9406564584124654e-324, -0.0, 1.7976931348623157e308,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", x);
+    ASSERT_TRUE(ParseDoubleCell(buf, &v)) << buf;
+    EXPECT_EQ(std::memcmp(&v, &x, sizeof(double)), 0) << buf;
+  }
+  char nan_buf[40];
+  std::snprintf(nan_buf, sizeof(nan_buf), "%.17g", std::nan(""));
+  ASSERT_TRUE(ParseDoubleCell(nan_buf, &v)) << nan_buf;
+  EXPECT_TRUE(std::isnan(v));
 }
 
 TEST(CsvTest, NonNumericCellFails) {
@@ -190,7 +216,15 @@ TEST(AtomicFileTest, WritesContentAndLeavesNoTempFile) {
   std::ostringstream os;
   os << in.rdbuf();
   EXPECT_EQ(os.str(), "hello\n");
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  // No temp sibling (`<path>.tmp.<pid>.<n>`) outlives the write.
+  const std::filesystem::path target(path);
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(
+                  target.filename().string() + ".tmp", 0),
+              0u)
+        << entry.path();
+  }
   // Overwrite is atomic too: the new content fully replaces the old.
   ASSERT_TRUE(WriteFileAtomic(path, "v2").ok());
   std::ifstream in2(path);

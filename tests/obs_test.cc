@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -9,7 +10,9 @@
 
 #include "ag/ops.h"
 #include "base/thread_pool.h"
+#include "base/rng.h"
 #include "core/dataset.h"
+#include "core/harness.h"
 #include "core/method.h"
 #include "methods/common.h"
 #include "methods/factory.h"
@@ -246,6 +249,68 @@ TEST_F(ObsTest, GuardedStepCountsNonFiniteLoss) {
   MetricRegistry& reg = MetricRegistry::Global();
   EXPECT_EQ(reg.GetCounter("train.ObsProbe.main.nonfinite_loss").value(), 1);
   EXPECT_EQ(reg.GetCounter("train.ObsProbe.main.steps").value(), 0);
+}
+
+// ---- Harness phase spans: fit, generate and evaluate are siblings under one
+// harness.run_method span, so each phase's time is attributed to it alone. ----
+
+/// Gaussian noise shaped like the training series; fitting is a no-op.
+class ObsNoiseMethod : public core::TsgMethod {
+ public:
+  Status Fit(const core::Dataset& train, const core::FitOptions& options) override {
+    (void)options;
+    rows_ = train.seq_len();
+    cols_ = train.num_features();
+    return Status::Ok();
+  }
+  std::vector<linalg::Matrix> Generate(int64_t count, Rng& rng) const override {
+    std::vector<linalg::Matrix> out;
+    for (int64_t i = 0; i < count; ++i) {
+      linalg::Matrix series(rows_, cols_);
+      for (int64_t r = 0; r < rows_; ++r) {
+        for (int64_t c = 0; c < cols_; ++c) series(r, c) = rng.Normal();
+      }
+      out.push_back(std::move(series));
+    }
+    return out;
+  }
+  std::string name() const override { return "ObsNoise"; }
+
+ private:
+  int64_t rows_ = 0;
+  int64_t cols_ = 0;
+};
+
+core::Dataset NoiseDataset(const std::string& name, int64_t count) {
+  ObsNoiseMethod shape;
+  EXPECT_TRUE(shape.Fit(core::Dataset(name, {linalg::Matrix(12, 2)}), {}).ok());
+  Rng rng(count);
+  return core::Dataset(name, shape.Generate(count, rng));
+}
+
+TEST_F(ObsTest, HarnessPhasesAreSiblingsUnderRunMethod) {
+  // One thread: every span opens on this thread's stack, so the tree is exact.
+  base::ThreadPool::Global().SetMaxParallelism(1);
+  core::HarnessOptions options;
+  options.stochastic_repeats = 1;
+  options.max_eval_samples = 16;
+  options.embedder.epochs = 1;
+  core::Harness harness(options);
+  ObsNoiseMethod method;
+  // The span tree is under test, not the scores.
+  (void)harness.RunMethod(method, NoiseDataset("obs", 24), NoiseDataset("obs", 8));
+
+  std::set<std::string> paths;
+  for (const auto& [path, count] : FlattenTrace(MetricRegistry::Global().trace_root())) {
+    paths.insert(path);
+  }
+  EXPECT_EQ(paths.count("harness.run_method/fit"), 1u);
+  EXPECT_EQ(paths.count("harness.run_method/generate"), 1u);
+  EXPECT_EQ(paths.count("harness.run_method/evaluate"), 1u);
+  for (const std::string& path : paths) {
+    EXPECT_NE(path.rfind("harness.run_method/generate/", 0), 0u)
+        << path << " nests under generate";
+  }
 }
 
 }  // namespace

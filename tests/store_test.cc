@@ -391,7 +391,11 @@ class ServingCacheEvictionTest : public ::testing::Test {
     ASSERT_TRUE(method.ok());
     ASSERT_TRUE(method.value()->Fit(train_, fit_).ok());
     method_ = std::move(method.value());
-    store_ = std::make_unique<ArtifactStore>(TempStoreDir("serving_lru"));
+    // ctest runs each case as its own process, possibly at the same time as
+    // its siblings: each case needs its own store directory.
+    store_ = std::make_unique<ArtifactStore>(TempStoreDir(
+        std::string("serving_lru_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name()));
     auto snapshot = method_->Snapshot();
     ASSERT_TRUE(snapshot.ok());
     for (int i = 0; i < 3; ++i) {
@@ -531,7 +535,11 @@ TEST(SerializeStrictTest, SaveParametersIsAtomic) {
       (std::filesystem::temp_directory_path() / "tsg_atomic.txt").string();
   ASSERT_TRUE(nn::SaveParameters(path, params).ok());
   // The temp file from the write-then-rename protocol must not linger.
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::temp_directory_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind("tsg_atomic.txt.tmp", 0), 0u)
+        << entry.path();
+  }
   std::filesystem::remove(path);
 }
 
