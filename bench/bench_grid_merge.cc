@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
   tsg::bench::ConsumeFlagValue(&argc, argv, "methods", &methods_csv);
   tsg::bench::ConsumeFlagValue(&argc, argv, "datasets", &datasets_csv);
   if (tsg::bench::ConsumeFlagValue(&argc, argv, "lease_stale_seconds", &value)) {
-    options.lease_stale_seconds = std::atof(value.c_str());
+    options.lease_stale_seconds =
+        tsg::bench::ParseDoubleOrExit("--lease_stale_seconds", value);
   }
   if (!tsg::bench::RequireNoUnknownFlags(
           argc, argv,

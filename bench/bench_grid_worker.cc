@@ -29,10 +29,11 @@ int main(int argc, char** argv) {
   tsg::bench::ConsumeFlagValue(&argc, argv, "datasets", &datasets_csv);
   tsg::bench::ConsumeFlagValue(&argc, argv, "worker_id", &options.label);
   if (tsg::bench::ConsumeFlagValue(&argc, argv, "lease_stale_seconds", &value)) {
-    options.lease_stale_seconds = std::atof(value.c_str());
+    options.lease_stale_seconds =
+        tsg::bench::ParseDoubleOrExit("--lease_stale_seconds", value);
   }
   if (tsg::bench::ConsumeFlagValue(&argc, argv, "max_wait_seconds", &value)) {
-    options.max_wait_seconds = std::atof(value.c_str());
+    options.max_wait_seconds = tsg::bench::ParseDoubleOrExit("--max_wait_seconds", value);
   }
   if (!tsg::bench::RequireNoUnknownFlags(
           argc, argv,

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -38,7 +39,9 @@ std::atomic<int> g_fits_done{0};
 int KillAfter() {
   static const int kill_after = [] {
     const char* env = std::getenv("TSG_SMOKE_KILL_AFTER");
-    return env == nullptr ? 0 : std::atoi(env);
+    if (env == nullptr) return 0;
+    return static_cast<int>(ParseInt64OrExit("TSG_SMOKE_KILL_AFTER", env, 0,
+                                             std::numeric_limits<int>::max()));
   }();
   return kill_after;
 }

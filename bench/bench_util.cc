@@ -1,11 +1,13 @@
 #include "bench_util.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 
+#include "io/csv.h"
 #include "obs/metrics.h"
 
 namespace tsg::bench {
@@ -90,13 +92,36 @@ void WriteMetricsSnapshot() {
   }
 }
 
+double ParseDoubleOrExit(const std::string& name, const std::string& text) {
+  double value = 0.0;
+  if (!io::ParseDoubleCell(text, &value) || !std::isfinite(value)) {
+    std::fprintf(stderr, "error: %s must be a finite number, got '%s'\n",
+                 name.c_str(), text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
+int64_t ParseInt64OrExit(const std::string& name, const std::string& text,
+                         int64_t min, int64_t max) {
+  int64_t value = 0;
+  if (!io::ParseInt64Cell(text, &value) || value < min || value > max) {
+    std::fprintf(stderr,
+                 "error: %s must be an integer in [%lld, %lld], got '%s'\n",
+                 name.c_str(), static_cast<long long>(min),
+                 static_cast<long long>(max), text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 BenchConfig LoadConfig() {
   BenchConfig config;
   if (const char* scale = std::getenv("TSGBENCH_SCALE")) {
-    config.scale = std::max(0.05, std::atof(scale));
+    config.scale = std::max(0.05, ParseDoubleOrExit("TSGBENCH_SCALE", scale));
   }
   if (const char* seed = std::getenv("TSGBENCH_SEED")) {
-    config.seed = static_cast<uint64_t>(std::atoll(seed));
+    config.seed = static_cast<uint64_t>(ParseInt64OrExit("TSGBENCH_SEED", seed));
   }
   if (const char* out = std::getenv("TSGBENCH_OUT")) {
     config.out_dir = out;

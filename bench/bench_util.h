@@ -1,6 +1,8 @@
 #ifndef TSG_BENCH_BENCH_UTIL_H_
 #define TSG_BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -10,8 +12,19 @@
 namespace tsg::bench {
 
 /// Reads TSGBENCH_SCALE / TSGBENCH_SEED / TSGBENCH_OUT / TSGBENCH_STORE_DIR and
-/// ensures out_dir exists.
+/// ensures out_dir exists. A scale or seed that is not a number exits 2.
 BenchConfig LoadConfig();
+
+/// Strict numeric values for flags and environment variables: `text`, the value
+/// of `name`, must parse whole (io::ParseDoubleCell / io::ParseInt64Cell), a
+/// double must be finite and an integer must lie in [min, max]. Anything else
+/// prints an error naming `name` and exits 2, so garbage never silently
+/// becomes 0.
+double ParseDoubleOrExit(const std::string& name, const std::string& text);
+int64_t ParseInt64OrExit(
+    const std::string& name, const std::string& text,
+    int64_t min = std::numeric_limits<int64_t>::min(),
+    int64_t max = std::numeric_limits<int64_t>::max());
 
 /// Strips bench-harness flags from argv before any other argument parsing (call
 /// first in main, before benchmark::Initialize for Google Benchmark binaries).

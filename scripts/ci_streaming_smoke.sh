@@ -2,9 +2,9 @@
 # CI gate for the streaming evaluation subsystem (DESIGN.md §12):
 #
 #   1. A stream_eval job runs end to end through tsgd: fit-if-missing, chunked
-#      generation, windowed online measures. The job self-verifies the
-#      streaming-exact contract (VerifyExactAgainstBatch runs inside the job
-#      and fails it on any byte divergence), so "exact":true in the result is a
+#      generation, each window scored by the batch measures. The job re-checks
+#      its last snapshot against a fresh batch run (VerifyExactAgainstBatch
+#      fails it on any byte divergence), so "exact":true in the result is a
 #      machine-checked attestation, and the window/series accounting must match
 #      the submitted spec.
 #   2. The tenant's live "stream.<tenant>.*" gauges and counters are visible in

@@ -59,6 +59,21 @@ void Tape::CompleteStep() {
   if (steps_completed_ == 1) arena_.MarkSteadyState();
 }
 
+int64_t Tape::TakeSteadyStateAllocs() {
+  const int64_t total = arena_.steady_state_chunk_allocs();
+  const int64_t fresh = total - steady_state_taken_;
+  steady_state_taken_ = total;
+  return fresh;
+}
+
+void BeginTrainingRun() {
+  Tape& tape = ThreadTape();
+  TSG_CHECK_EQ(tape.depth_, 0) << "BeginTrainingRun inside a StepScope";
+  tape.arena_.Clear();
+  tape.steps_completed_ = 0;
+  tape.steady_state_taken_ = 0;
+}
+
 StepScope::StepScope() {
   if (!ArenaEnabled()) return;
   Tape& tape = ThreadTape();

@@ -65,6 +65,10 @@ class Tape {
   /// on, arena chunk growth counts against the zero-allocation contract.
   void CompleteStep();
 
+  /// Steady-state chunk allocations since the previous call (or since
+  /// BeginTrainingRun) — what GuardedStep adds to `ag.allocs.steady_state`.
+  int64_t TakeSteadyStateAllocs();
+
   int64_t steps_completed() const { return steps_completed_; }
   int64_t nodes_since_reset() const { return node_count_; }
   size_t arena_bytes_used() const { return arena_.bytes_used(); }
@@ -81,8 +85,20 @@ class Tape {
   std::vector<Node*> dtor_nodes_;  // Only pooled nodes that own heap storage.
   int64_t node_count_ = 0;
   int64_t steps_completed_ = 0;
+  int64_t steady_state_taken_ = 0;
   int depth_ = 0;
+
+  friend void BeginTrainingRun();
 };
+
+/// Starts a training run on the calling thread: releases its tape's arena
+/// chunks (base::Arena::Clear), re-arms the warm-up step, and zeroes the
+/// baseline TakeSteadyStateAllocs() counts from. Call it right before a
+/// method's Fit, so `ag.allocs.steady_state` counts growth after this run's own
+/// first step only — not growth caused by whichever smaller model trained on the
+/// same (pool) thread earlier, which made the count depend on the schedule.
+/// Must not be called inside a StepScope.
+void BeginTrainingRun();
 
 /// RAII activation of the thread's tape for one training-step scope. Methods
 /// open one at the top of each batch-loop body — *around* every graph built in

@@ -70,6 +70,8 @@ void Arena::Clear() {
   next_chunk_ = 0;
   bytes_used_ = 0;
   bytes_reserved_ = 0;
+  steady_state_chunk_allocs_ = 0;
+  steady_state_ = false;
 }
 
 }  // namespace tsg::base

@@ -39,7 +39,9 @@ class Arena {
   /// Rewinds every chunk to empty, keeping the storage for reuse. O(#chunks).
   void Reset();
 
-  /// Releases all chunks back to the heap (tests / explicit teardown).
+  /// Releases all chunks back to the heap and re-arms the warm-up: growth is
+  /// not steady-state again until the next MarkSteadyState(), and
+  /// steady_state_chunk_allocs() restarts at 0.
   void Clear();
 
   /// After this call, new chunk acquisitions count as steady-state allocations

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "ag/tape.h"
 #include "base/stopwatch.h"
 #include "base/thread_pool.h"
 #include "obs/metrics.h"
@@ -164,6 +165,7 @@ StatusOr<MethodRunResult> Harness::RunMethod(TsgMethod& method,
     Stopwatch watch;
     obs::ScopedTimer fit_span("fit");
     metrics.GetCounter("harness.fit_calls").Add();
+    ag::BeginTrainingRun();
     const Status fit_status = method.Fit(train, options_.fit);
     result.fit_seconds = watch.ElapsedSeconds();
     metrics.RecordTimer("harness.fit_seconds." + result.method,

@@ -373,6 +373,11 @@ StatusOr<double> MmdMeasure::Evaluate(const MeasureContext& ctx) const {
   const MeasureSpan span(*this);
   TSG_RETURN_IF_ERROR(ValidateContext(ctx));
   const int64_t cap = 256;
+  // The unbiased estimator drops the diagonal, so each side needs 2 series.
+  if (ctx.real->num_samples() < 2 || ctx.generated->num_samples() < 2) {
+    return Status::FailedPrecondition(
+        "MMD needs at least 2 series on each side");
+  }
   const Matrix real_flat = ctx.real->Head(cap).Flatten();
   const Matrix gen_flat = ctx.generated->Head(cap).Flatten();
   return distance::RbfMmd(real_flat, gen_flat, gamma_);

@@ -186,7 +186,8 @@ class DtwDistanceMeasure : public Measure {
 /// Extension: unbiased RBF-kernel Maximum Mean Discrepancy between flattened real
 /// and generated windows — the statistic RGAN's training objective is built on.
 /// Not part of the paper's twelve-measure suite (§2.2 drops low-prevalence
-/// measures), but exposed for analysis and the ablation benches.
+/// measures), but exposed for analysis, the ablation benches and the stream
+/// evaluator. Sets with fewer than 2 series give FailedPrecondition.
 class MmdMeasure : public Measure {
  public:
   explicit MmdMeasure(double gamma = -1.0) : gamma_(gamma) {}

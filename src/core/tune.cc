@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "ag/tape.h"
 #include "base/check.h"
 
 namespace tsg::core {
@@ -41,6 +42,7 @@ TuneResult TuneMethod(
       FitOptions fit = candidate.options;
       fit.epoch_scale = epoch_scale;
       std::unique_ptr<TsgMethod> method = factory();
+      ag::BeginTrainingRun();
       const Status status = method->Fit(train, fit);
       if (!status.ok()) {
         score = 1e300;  // Failed fits drop out at the cut.

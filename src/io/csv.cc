@@ -20,6 +20,15 @@ void AppendRow(std::string& out, const std::vector<std::string>& row) {
   }
 }
 
+/// True when nothing but whitespace is left from `p` on.
+bool OnlySpaceLeft(const char* p) {
+  while (*p != '\0') {
+    if (!std::isspace(static_cast<unsigned char>(*p))) return false;
+    ++p;
+  }
+  return true;
+}
+
 }  // namespace
 
 bool ParseDoubleCell(const std::string& cell, double* out) {
@@ -30,11 +39,18 @@ bool ParseDoubleCell(const std::string& cell, double* out) {
   // ERANGE on underflow still yields the correctly rounded subnormal or zero;
   // only overflow (a finite literal beyond DBL_MAX) is out of range.
   if (end == begin || (errno == ERANGE && std::isinf(v))) return false;
-  while (*end != '\0') {
-    if (!std::isspace(static_cast<unsigned char>(*end))) return false;
-    ++end;
-  }
+  if (!OnlySpaceLeft(end)) return false;
   *out = v;
+  return true;
+}
+
+bool ParseInt64Cell(const std::string& cell, int64_t* out) {
+  const char* begin = cell.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(begin, &end, 10);
+  if (end == begin || errno == ERANGE || !OnlySpaceLeft(end)) return false;
+  *out = static_cast<int64_t>(v);
   return true;
 }
 

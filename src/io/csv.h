@@ -1,6 +1,7 @@
 #ifndef TSG_IO_CSV_H_
 #define TSG_IO_CSV_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,11 @@ std::string EscapeCsvField(const std::string& cell);
 /// strtod. Everything %.17g prints parses back bit-for-bit: "nan", "inf" and
 /// subnormals included; only out-of-range values such as "1e999" are rejected.
 bool ParseDoubleCell(const std::string& cell, double* out);
+
+/// The integer twin of ParseDoubleCell: a base-10 int64 that must fill the cell
+/// apart from surrounding whitespace. "12abc", "1.5", "" and values outside the
+/// int64 range are errors.
+bool ParseInt64Cell(const std::string& cell, int64_t* out);
 
 /// Reads a CSV file into string records. Handles RFC-4180 quoting (embedded
 /// commas, doubled quotes, embedded newlines), CRLF line endings, and preserves

@@ -93,16 +93,12 @@ const StepMetrics& CachedStepMetrics(const StepContext& ctx) {
 /// The steady-state counter only moves when a post-warm-up step had to grow the
 /// arena — the zero-allocation contract's violation count.
 void ExportTapeStats(const StepMetrics& m) {
-  const ag::Tape* tape = ag::Tape::Active();
+  ag::Tape* tape = ag::Tape::Active();
   if (tape == nullptr) return;
-  thread_local int64_t last_steady_state = 0;
   m.arena_bytes_peak->Set(static_cast<double>(tape->arena_bytes_peak()));
   m.nodes_per_step->Set(static_cast<double>(tape->nodes_since_reset()));
-  const int64_t steady = tape->steady_state_chunk_allocs();
-  if (steady > last_steady_state) {
-    m.steady_state_allocs->Add(steady - last_steady_state);
-  }
-  last_steady_state = steady;
+  const int64_t grown = tape->TakeSteadyStateAllocs();
+  if (grown > 0) m.steady_state_allocs->Add(grown);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "ag/tape.h"
 #include "base/fnv.h"
 #include "base/stopwatch.h"
 #include "base/thread_pool.h"
@@ -136,6 +137,7 @@ StatusOr<bool> BenchJobRunner::EnsureFitted(const std::string& method_name,
   TSG_ASSIGN_OR_RETURN(const std::unique_ptr<core::TsgMethod> method,
                        methods::CreateMethod(method_name));
   Stopwatch watch;
+  ag::BeginTrainingRun();
   TSG_RETURN_IF_ERROR(method->Fit(pre.train, harness_->options().fit));
   *fit_seconds += watch.ElapsedSeconds();
   TSG_ASSIGN_OR_RETURN(const core::MethodSnapshot snapshot, method->Snapshot());

@@ -52,13 +52,14 @@ class JobRunner {
 ///              summary file.
 ///   stream_eval — attach a streameval::StreamEvaluator to the tenant's
 ///              generate stream: chunked ServingCache generation (chunk b uses
-///              seed gen_seed + b) feeds windowed online measures whose live
-///              values land in the "stream.<tenant>.*" gauges METRICS serves.
-///              `should_stop` drains at the next window boundary — the job
-///              finishes the in-progress window so the last exported snapshot
-///              is whole, then stops. Before reporting, the runner re-checks
-///              the final window with VerifyExactAgainstBatch, so every result
-///              carries a machine-checked exactness attestation.
+///              seed gen_seed + b) feeds the evaluator, which scores every
+///              whole window with the batch measures; those values land in the
+///              "stream.<tenant>.*" gauges METRICS serves. `should_stop`
+///              drains at the next window boundary — the job finishes the
+///              in-progress window so the last exported snapshot is whole, then
+///              stops. Before reporting, the runner re-checks the final window
+///              with VerifyExactAgainstBatch, so every result carries a
+///              machine-checked exactness attestation.
 ///
 /// Datasets are simulated + preprocessed once per dataset name and shared
 /// across jobs (mutex-guarded cache); harness and stores are built once.

@@ -4,41 +4,82 @@
 #include <cstring>
 #include <utility>
 
-#include "base/check.h"
 #include "core/measures.h"
 #include "obs/metrics.h"
 
 namespace tsg::streameval {
 namespace {
 
-/// Bitwise double equality — the comparison the streaming-exact contract is
+/// Bitwise double equality — the comparison the exactness attestation is
 /// stated in. Treats identical NaN patterns as equal, unlike operator==.
 bool BitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// A batch measure a window is scored with; `paired` measures compare window
+/// item p with reference sample p mod R, the others with the whole reference.
+struct WindowMeasure {
+  std::unique_ptr<core::Measure> measure;
+  bool paired;
+};
+
+const std::vector<WindowMeasure>& WindowMeasures() {
+  static const std::vector<WindowMeasure>* const kMeasures = [] {
+    auto* out = new std::vector<WindowMeasure>();
+    out->push_back({std::make_unique<core::EuclideanDistanceMeasure>(), true});
+    out->push_back({std::make_unique<core::DtwDistanceMeasure>(), true});
+    out->push_back(
+        {std::make_unique<core::MarginalDistributionDifference>(), false});
+    out->push_back({std::make_unique<core::AutocorrelationDifference>(), false});
+    out->push_back({std::make_unique<core::SkewnessDifference>(), false});
+    out->push_back({std::make_unique<core::KurtosisDifference>(), false});
+    out->push_back({std::make_unique<core::MmdMeasure>(), false});
+    return out;
+  }();
+  return *kMeasures;
+}
+
+/// Runs every WindowMeasure on `window` (the generated set, whose series sit at
+/// stream `positions`) against `reference`. Failed measures are left out and
+/// counted in *errors when it is given.
+std::map<std::string, double> ScoreWindow(const core::Dataset& reference,
+                                          const core::Dataset& window,
+                                          const std::vector<int64_t>& positions,
+                                          int64_t* errors) {
+  std::vector<int64_t> pair_idx;
+  pair_idx.reserve(positions.size());
+  for (const int64_t p : positions) {
+    pair_idx.push_back(p % reference.num_samples());
+  }
+  const core::Dataset paired_ref = reference.Select(pair_idx);
+  core::MeasureContext paired_ctx;
+  paired_ctx.real = &paired_ref;
+  paired_ctx.generated = &window;
+  core::MeasureContext full_ctx;
+  full_ctx.real = &reference;
+  full_ctx.generated = &window;
+
+  std::map<std::string, double> out;
+  for (const WindowMeasure& m : WindowMeasures()) {
+    const StatusOr<double> value =
+        m.measure->Evaluate(m.paired ? paired_ctx : full_ctx);
+    if (value.ok()) {
+      out[m.measure->name()] = value.value();
+    } else if (errors != nullptr) {
+      ++*errors;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
-StreamEvaluator::StreamEvaluator(
-    std::shared_ptr<const core::Dataset> reference, StreamEvalOptions options)
-    : reference_(std::move(reference)),
+StreamEvaluator::StreamEvaluator(const core::Dataset& reference,
+                                 StreamEvalOptions options)
+    : reference_(reference),
       options_(std::move(options)),
-      drift_(options_.drift) {
-  states_.push_back(std::make_unique<OnlineEuclidean>(reference_));
-  states_.push_back(std::make_unique<OnlineDtw>(reference_));
-  states_.push_back(std::make_unique<OnlineMdd>(reference_));
-  states_.push_back(std::make_unique<OnlineAcd>(reference_));
-  states_.push_back(std::make_unique<OnlineMomentsDiff>(
-      reference_, OnlineMomentsDiff::Kind::kSkewness));
-  states_.push_back(std::make_unique<OnlineMomentsDiff>(
-      reference_, OnlineMomentsDiff::Kind::kKurtosis));
-  if (options_.include_mmd) {
-    states_.push_back(std::make_unique<OnlineMmd>(reference_));
-  }
-  if (options_.include_feature_gaussian) {
-    states_.push_back(std::make_unique<OnlineFeatureGaussian>(reference_));
-  }
-}
+      fgd_(reference_),
+      drift_(options_.drift) {}
 
 StatusOr<std::unique_ptr<StreamEvaluator>> StreamEvaluator::Create(
     const core::Dataset& reference, StreamEvalOptions options) {
@@ -49,14 +90,13 @@ StatusOr<std::unique_ptr<StreamEvaluator>> StreamEvaluator::Create(
     return Status::InvalidArgument("stream window must be positive, got " +
                                    std::to_string(options.window));
   }
-  auto ref_copy = std::make_shared<const core::Dataset>(reference);
   return std::unique_ptr<StreamEvaluator>(
-      new StreamEvaluator(std::move(ref_copy), std::move(options)));
+      new StreamEvaluator(reference, std::move(options)));
 }
 
 Status StreamEvaluator::Update(const std::vector<Matrix>& batch) {
-  const int64_t l = reference_->seq_len();
-  const int64_t n = reference_->num_features();
+  const int64_t l = reference_.seq_len();
+  const int64_t n = reference_.num_features();
   for (const Matrix& series : batch) {
     if (series.rows() != l || series.cols() != n) {
       return Status::InvalidArgument(
@@ -74,68 +114,57 @@ Status StreamEvaluator::Update(const std::vector<Matrix>& batch) {
         options_.window - (series_seen_ % options_.window);
     const size_t take =
         std::min(batch.size() - next, static_cast<size_t>(to_boundary));
-    const size_t first_new = window_.size();
-    for (size_t k = 0; k < take; ++k) {
-      window_.push_back(WindowItem{batch[next + k], series_seen_ + static_cast<int64_t>(k)});
-    }
-    // Deque push_back/pop_front never move surviving elements, so these
-    // pointers stay valid for the states' Update call.
-    std::vector<const WindowItem*> fresh;
+    std::vector<const Matrix*> fresh;
     fresh.reserve(take);
-    for (size_t w = first_new; w < window_.size(); ++w) {
-      fresh.push_back(&window_[w]);
+    for (size_t k = 0; k < take; ++k) {
+      window_.push_back(WindowItem{batch[next + k],
+                                   series_seen_ + static_cast<int64_t>(k)});
+      fresh.push_back(&batch[next + k]);
     }
-    for (auto& state : states_) {
-      TSG_RETURN_IF_ERROR(state->Update(fresh));
-    }
+    fgd_.Add(fresh);
     series_seen_ += static_cast<int64_t>(take);
     while (static_cast<int64_t>(window_.size()) > options_.window) {
-      for (auto& state : states_) {
-        TSG_RETURN_IF_ERROR(state->Evict(window_.front()));
-      }
       window_.pop_front();
     }
-    if (series_seen_ % options_.window == 0) {
-      TSG_RETURN_IF_ERROR(TakeSnapshot());
-    }
+    if (series_seen_ % options_.window == 0) TakeSnapshot();
     next += take;
   }
   return Status::Ok();
+}
+
+std::map<std::string, double> StreamEvaluator::Score(int64_t* errors) const {
+  std::map<std::string, double> out =
+      ScoreWindow(reference_, WindowDataset(), WindowPositions(), errors);
+  const StatusOr<double> fgd = fgd_.Value();
+  if (fgd.ok()) {
+    out["FGD"] = fgd.value();
+  } else if (errors != nullptr) {
+    ++*errors;
+  }
+  return out;
 }
 
 StatusOr<std::map<std::string, double>> StreamEvaluator::SnapshotNow() const {
   if (window_.empty()) {
     return Status::FailedPrecondition("stream window is empty");
   }
-  std::map<std::string, double> out;
-  for (const auto& state : states_) {
-    const StatusOr<double> value = state->Snapshot(window_);
-    if (value.ok()) out[state->name()] = value.value();
-  }
-  return out;
+  return Score(nullptr);
 }
 
-Status StreamEvaluator::TakeSnapshot() {
+void StreamEvaluator::TakeSnapshot() {
   ++windows_completed_;
-  last_snapshot_.clear();
+  int64_t errors = 0;
+  last_snapshot_ = Score(&errors);
   last_deltas_.clear();
 
   obs::MetricRegistry& metrics = obs::MetricRegistry::Global();
   const bool export_metrics = !options_.metric_prefix.empty();
-  int64_t errors = 0;
-  for (const auto& state : states_) {
-    const StatusOr<double> value = state->Snapshot(window_);
-    if (!value.ok()) {
-      ++errors;
-      continue;
-    }
-    const std::string& name = state->name();
-    last_snapshot_[name] = value.value();
-    const DriftDetector::Result drift = drift_.Observe(name, value.value());
+  for (const auto& [name, value] : last_snapshot_) {
+    const DriftDetector::Result drift = drift_.Observe(name, value);
     last_deltas_[name] = drift.delta;
     if (export_metrics) {
       const std::string base = options_.metric_prefix + "." + name;
-      metrics.GetGauge(base).Set(value.value());
+      metrics.GetGauge(base).Set(value);
       metrics.GetGauge(base + ".delta").Set(drift.delta);
       if (drift.alarm) metrics.GetCounter(base + ".alarms").Add();
     }
@@ -153,7 +182,6 @@ Status StreamEvaluator::TakeSnapshot() {
       metrics.GetCounter(options_.metric_prefix + ".errors").Add(errors);
     }
   }
-  return Status::Ok();
 }
 
 core::Dataset StreamEvaluator::WindowDataset() const {
@@ -171,66 +199,27 @@ std::vector<int64_t> StreamEvaluator::WindowPositions() const {
 }
 
 Status StreamEvaluator::VerifyExactAgainstBatch() const {
-  if (window_.empty()) {
-    return Status::FailedPrecondition("stream window is empty");
-  }
-  const core::Dataset window_ds = WindowDataset();
-  // The index-paired distances compare against the reference rotated to the
-  // window's stream positions; the distributional measures compare against the
-  // whole reference, exactly as a batch evaluation would.
-  std::vector<int64_t> pair_idx;
-  pair_idx.reserve(window_.size());
-  for (const WindowItem& item : window_) {
-    pair_idx.push_back(item.position % reference_->num_samples());
-  }
-  const core::Dataset paired_ref = reference_->Select(pair_idx);
-
-  core::MeasureContext paired_ctx;
-  paired_ctx.real = &paired_ref;
-  paired_ctx.generated = &window_ds;
-  core::MeasureContext full_ctx;
-  full_ctx.real = reference_.get();
-  full_ctx.generated = &window_ds;
-
-  StatusOr<std::map<std::string, double>> snapshot_or = SnapshotNow();
-  if (!snapshot_or.ok()) return snapshot_or.status();
-  const std::map<std::string, double>& snapshot = snapshot_or.value();
-
-  auto check = [&](const core::Measure& measure,
-                   const core::MeasureContext& ctx) -> Status {
-    const StatusOr<double> batch = measure.Evaluate(ctx);
-    const auto it = snapshot.find(measure.name());
-    if (!batch.ok()) {
-      // The streaming state must have skipped the measure for the same reason
-      // (e.g. MMD's 2-series minimum).
-      if (it != snapshot.end()) {
-        return Status::Internal("stream " + measure.name() +
-                                " produced a value where batch failed: " +
-                                batch.status().ToString());
-      }
-      return Status::Ok();
+  TSG_ASSIGN_OR_RETURN(const auto snapshot, SnapshotNow());
+  const std::map<std::string, double> batch =
+      ScoreWindow(reference_, WindowDataset(), WindowPositions(), nullptr);
+  for (const WindowMeasure& m : WindowMeasures()) {
+    const std::string name = m.measure->name();
+    const auto want = batch.find(name);
+    const auto got = snapshot.find(name);
+    if (want == batch.end() && got == snapshot.end()) continue;
+    if (want == batch.end()) {
+      return Status::Internal("stream " + name +
+                              " produced a value where batch failed");
     }
-    if (it == snapshot.end()) {
-      return Status::Internal("stream snapshot is missing " + measure.name());
+    if (got == snapshot.end()) {
+      return Status::Internal("stream snapshot is missing " + name);
     }
-    if (!BitEqual(batch.value(), it->second)) {
-      return Status::Internal(
-          "stream " + measure.name() + " diverged from batch: stream " +
-          std::to_string(it->second) + " vs batch " +
-          std::to_string(batch.value()));
+    if (!BitEqual(want->second, got->second)) {
+      return Status::Internal("stream " + name +
+                              " diverged from batch: stream " +
+                              std::to_string(got->second) + " vs batch " +
+                              std::to_string(want->second));
     }
-    return Status::Ok();
-  };
-
-  TSG_RETURN_IF_ERROR(check(core::EuclideanDistanceMeasure(), paired_ctx));
-  TSG_RETURN_IF_ERROR(check(core::DtwDistanceMeasure(), paired_ctx));
-  TSG_RETURN_IF_ERROR(check(core::MarginalDistributionDifference(), full_ctx));
-  TSG_RETURN_IF_ERROR(check(core::AutocorrelationDifference(), full_ctx));
-  TSG_RETURN_IF_ERROR(check(core::SkewnessDifference(), full_ctx));
-  TSG_RETURN_IF_ERROR(check(core::KurtosisDifference(), full_ctx));
-  if (options_.include_mmd && window_.size() >= 2 &&
-      reference_->num_samples() >= 2) {
-    TSG_RETURN_IF_ERROR(check(core::MmdMeasure(), full_ctx));
   }
   return Status::Ok();
 }

@@ -2,6 +2,7 @@
 #define TSG_STREAMEVAL_STREAM_EVALUATOR_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -10,9 +11,22 @@
 #include "base/status.h"
 #include "core/dataset.h"
 #include "streameval/drift.h"
-#include "streameval/online_measures.h"
+#include "streameval/feature_gaussian.h"
 
 namespace tsg::streameval {
+
+/// One generated series inside the sliding evaluation window, tagged with its
+/// zero-based position in the overall stream. The position drives reference
+/// pairing for the index-paired distance measures: stream item p is paired with
+/// reference sample p mod R, so an endless stream cycles through the reference
+/// set instead of running off its end.
+struct WindowItem {
+  Matrix series;     ///< (l x N) generated window sample.
+  int64_t position;  ///< Zero-based position in the stream.
+};
+
+/// The sliding window, oldest first.
+using Window = std::deque<WindowItem>;
 
 /// Configuration for a StreamEvaluator (DESIGN.md §12).
 struct StreamEvalOptions {
@@ -25,30 +39,24 @@ struct StreamEvalOptions {
   /// "<prefix>.windows", "<prefix>.series", "<prefix>.alarms",
   /// "<prefix>.<measure>.alarms", "<prefix>.errors". Empty disables export.
   std::string metric_prefix;
-  /// MMD recomputes O(window^2) kernel sums per snapshot; disable for very
-  /// large windows.
-  bool include_mmd = true;
-  /// The sampled-tier FGD state (stream-level Welford/Chan Gaussian).
-  bool include_feature_gaussian = true;
   DriftOptions drift;
 };
 
-/// Windowed incremental evaluation of a generated-series stream against a
-/// fixed reference set — the live counterpart of core::Measure evaluation
-/// (DESIGN.md §12, docs/MEASURES.md).
+/// Windowed evaluation of a generated-series stream against a fixed reference
+/// set (DESIGN.md §12, docs/MEASURES.md).
 ///
 /// Feed batches of generated series with Update(); every `window` series the
-/// evaluator snapshots all measure states, feeds the values to its
-/// DriftDetector, and (when a metric prefix is set) publishes the per-tenant
-/// "stream.*" gauges/counters the daemon's METRICS verb exposes.
+/// evaluator scores the window, feeds the values to its DriftDetector, and
+/// (when a metric prefix is set) publishes the per-tenant "stream.*"
+/// gauges/counters the daemon's METRICS verb exposes.
 ///
-/// Exactness: for the streaming-exact states, a snapshot is bit-identical to
-/// running the batch measure on (a) the window's series as the generated set
-/// and (b) the reference — rotated by stream position for the index-paired
-/// distances, whole for the distributional measures — as the real set, at any
-/// window size, batch slicing, and thread count. VerifyExactAgainstBatch()
-/// enforces exactly that equivalence through the real core::Measure code and
-/// is wired into tests, the CI smoke gate, and the daemon's stream_eval job.
+/// A window is scored by the batch core::Measures themselves, with the window's
+/// series as the generated set. ED and DTW pair window item p with reference
+/// sample p mod R, so their real set is the reference Select()ed at those
+/// indices; MDD, ACD, SD, KD and MMD compare against the whole reference. A
+/// snapshot is therefore exactly the batch evaluation of the window, by
+/// construction. The one value with no batch counterpart is FGD, which
+/// accumulates over the whole stream (see FeatureGaussian).
 class StreamEvaluator {
  public:
   /// Validates options and copies `reference` (the evaluator owns its
@@ -61,13 +69,13 @@ class StreamEvaluator {
   Status Update(const std::vector<Matrix>& batch);
 
   /// Measure values of the current (possibly partial) window, without touching
-  /// drift state or metrics. States whose preconditions fail (e.g. MMD on a
-  /// 1-series window) are omitted.
+  /// drift state or metrics. Measures that return a non-OK status (e.g. MMD on
+  /// a 1-series window) are omitted.
   StatusOr<std::map<std::string, double>> SnapshotNow() const;
 
-  /// Checks every streaming-exact state's snapshot byte-for-byte against the
-  /// corresponding batch measure run on the window; returns Internal on any
-  /// mismatch. The current window must be non-empty.
+  /// Recomputes the batch measures from WindowDataset() and WindowPositions()
+  /// and checks SnapshotNow() against them byte for byte; returns Internal on
+  /// any mismatch. The current window must be non-empty.
   Status VerifyExactAgainstBatch() const;
 
   /// The window's series as a Dataset (oldest first) and their stream
@@ -79,7 +87,7 @@ class StreamEvaluator {
   int64_t windows_completed() const { return windows_completed_; }
   int64_t alarms_total() const { return drift_.alarms_total(); }
   int64_t window_size() const { return static_cast<int64_t>(window_.size()); }
-  const core::Dataset& reference() const { return *reference_; }
+  const core::Dataset& reference() const { return reference_; }
 
   /// Measure values / raw drift deltas of the last completed window (empty
   /// before the first boundary).
@@ -91,15 +99,19 @@ class StreamEvaluator {
   }
 
  private:
-  StreamEvaluator(std::shared_ptr<const core::Dataset> reference,
-                  StreamEvalOptions options);
+  StreamEvaluator(const core::Dataset& reference, StreamEvalOptions options);
+
+  /// Scores the current window: each windowed measure through its batch
+  /// Evaluate on the window's two contexts, plus FGD. Values of measures that
+  /// fail are left out; *errors (when given) counts them.
+  std::map<std::string, double> Score(int64_t* errors) const;
 
   /// Snapshot at a window boundary: record values, feed drift, export metrics.
-  Status TakeSnapshot();
+  void TakeSnapshot();
 
-  std::shared_ptr<const core::Dataset> reference_;
+  core::Dataset reference_;
   StreamEvalOptions options_;
-  std::vector<std::unique_ptr<OnlineMeasureState>> states_;
+  FeatureGaussian fgd_;
   Window window_;
   DriftDetector drift_;
   int64_t series_seen_ = 0;

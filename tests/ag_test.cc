@@ -1,6 +1,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -90,6 +91,10 @@ struct OpCase {
   // Some ops need positive inputs (Log, Sqrt, PowScalar).
   bool positive_inputs = false;
 };
+
+// Without this, gtest prints the parameter as raw bytes, which hold code and
+// string addresses that move with every run; the test names would too.
+void PrintTo(const OpCase& op, std::ostream* os) { *os << op.name; }
 
 class OpGradTest : public ::testing::TestWithParam<OpCase> {};
 

@@ -25,8 +25,12 @@
 #include "ag/variable.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
+#include "core/dataset.h"
+#include "data/simulators.h"
 #include "kernels/kernels.h"
 #include "methods/common.h"
+#include "methods/factory.h"
+#include "obs/metrics.h"
 #include "nn/dense.h"
 #include "nn/optimizer.h"
 #include "nn/rnn.h"
@@ -233,6 +237,36 @@ TEST_F(AllocTest, ArenaReportsNoSteadyStateGrowth) {
       EXPECT_EQ(ag::Tape::Active()->steady_state_chunk_allocs(), after_warmup);
     }
   }
+}
+
+/// Fits TimeVAE on a sine set of the given shape as the harness does (a fresh
+/// training run on this thread) and returns how much the run added to the
+/// exported `ag.allocs.steady_state` counter.
+int64_t SteadyStateAllocsOfFit(int64_t l, int64_t n) {
+  const core::Dataset train("sine", data::SineBenchmark(48, l, n, /*seed=*/5));
+  auto method = methods::CreateMethod("TimeVAE");
+  EXPECT_TRUE(method.ok());
+  core::FitOptions options;
+  options.epoch_scale = 0.05;
+  obs::Counter& counter =
+      obs::MetricRegistry::Global().GetCounter("ag.allocs.steady_state");
+  const int64_t before = counter.value();
+  ag::BeginTrainingRun();
+  EXPECT_TRUE(method.value()->Fit(train, options).ok());
+  return counter.value() - before;
+}
+
+// The exported steady-state count is a property of one training run, not of
+// what ran on the thread before it: a larger model trained after a smaller one
+// must not count its own warm-up growth as steady-state growth. Both models
+// therefore export the same count in either order.
+TEST_F(AllocTest, SteadyStateCountDoesNotDependOnTrainingOrder) {
+  const int64_t small_first = SteadyStateAllocsOfFit(8, 2);
+  const int64_t large_second = SteadyStateAllocsOfFit(48, 12);
+  const int64_t large_first = SteadyStateAllocsOfFit(48, 12);
+  const int64_t small_second = SteadyStateAllocsOfFit(8, 2);
+  EXPECT_EQ(small_first, small_second);
+  EXPECT_EQ(large_first, large_second);
 }
 
 }  // namespace

@@ -60,6 +60,25 @@ TEST(BenchConfigTest, EnvOverridesApply) {
   std::filesystem::remove_all("/tmp/tsg_bench_cfg_test2");
 }
 
+// A scale or seed that is not a number is an error naming the variable, not a
+// silent fallback to the default scale or seed 0.
+TEST(BenchConfigDeathTest, GarbageScaleOrSeedExits2) {
+  const auto load_with = [](const char* name, const char* value) {
+    setenv("TSGBENCH_OUT", "/tmp/tsg_bench_cfg_test3", 1);
+    setenv(name, value, 1);
+    LoadConfig();
+    std::exit(0);
+  };
+  EXPECT_EXIT(load_with("TSGBENCH_SCALE", "abc"), testing::ExitedWithCode(2),
+              "TSGBENCH_SCALE");
+  EXPECT_EXIT(load_with("TSGBENCH_SCALE", "inf"), testing::ExitedWithCode(2),
+              "TSGBENCH_SCALE");
+  EXPECT_EXIT(load_with("TSGBENCH_SEED", "xyz"), testing::ExitedWithCode(2),
+              "TSGBENCH_SEED");
+  EXPECT_EXIT(load_with("TSGBENCH_SEED", "12abc"), testing::ExitedWithCode(2),
+              "TSGBENCH_SEED");
+}
+
 TEST(PrepareDatasetTest, CapsLongWindowDatasets) {
   BenchConfig config;
   config.out_dir = "/tmp/tsg_bench_prep_test";

@@ -82,6 +82,23 @@ TEST(MmdMeasureTest, IdenticalNearZeroShiftedLarger) {
   EXPECT_GT(mmd.Evaluate(diff).value(), same_value + 0.05);
 }
 
+// The unbiased estimator needs two series per side; a smaller set is a Status,
+// not an abort inside distance::RbfMmd.
+TEST(MmdMeasureTest, SingleSeriesSetIsFailedPrecondition) {
+  const Dataset real = Sine(8);
+  const Dataset one = Sine(1, 16, 3, 4);
+  core::MmdMeasure mmd;
+  core::MeasureContext ctx;
+  ctx.real = &real;
+  ctx.generated = &one;
+  const StatusOr<double> gen_side = mmd.Evaluate(ctx);
+  ASSERT_FALSE(gen_side.ok());
+  EXPECT_EQ(gen_side.status().code(), StatusCode::kFailedPrecondition);
+  ctx.real = &one;
+  ctx.generated = &real;
+  EXPECT_FALSE(mmd.Evaluate(ctx).ok());
+}
+
 // ---- PCA companion view. ----
 
 TEST(PcaViewTest, ProducedAlongsideTsne) {

@@ -80,6 +80,23 @@ TEST(CsvTest, ParseDoubleCellConsumesTheWholeCell) {
   EXPECT_TRUE(std::isnan(v));
 }
 
+TEST(CsvTest, ParseInt64CellConsumesTheWholeCell) {
+  int64_t v = 7;
+  for (const char* bad : {"12abc", "abc", "", " ", "1.5", "0x10", "1 2",
+                          "9223372036854775808", "-9223372036854775809"}) {
+    EXPECT_FALSE(ParseInt64Cell(bad, &v)) << bad;
+  }
+  EXPECT_EQ(v, 7);  // Failures leave the output untouched.
+  ASSERT_TRUE(ParseInt64Cell(" 42 ", &v));
+  EXPECT_EQ(v, 42);
+  ASSERT_TRUE(ParseInt64Cell("-3", &v));
+  EXPECT_EQ(v, -3);
+  ASSERT_TRUE(ParseInt64Cell("9223372036854775807", &v));
+  EXPECT_EQ(v, std::numeric_limits<int64_t>::max());
+  ASSERT_TRUE(ParseInt64Cell("-9223372036854775808", &v));
+  EXPECT_EQ(v, std::numeric_limits<int64_t>::min());
+}
+
 TEST(CsvTest, NonNumericCellFails) {
   const std::string path = TempPath("tsg_csv_bad.csv");
   {

@@ -1,8 +1,8 @@
-// Tests for the streaming evaluation subsystem (DESIGN.md §12): the
-// streaming-exact contract (byte equality against the batch measures across
-// window sizes, batch slicings, and thread counts), MDD's incremental
-// histogram eviction, the Page–Hinkley drift detector, the Welford/Chan
-// feature-Gaussian accumulator, and the per-tenant metric export.
+// Tests for the streaming evaluation subsystem (DESIGN.md §12): window
+// snapshots byte-equal to the batch measures across window sizes, batch
+// slicings, sliding eviction and thread counts, the Page–Hinkley drift
+// detector, the Welford/Chan feature-Gaussian accumulator, and the per-tenant
+// metric export.
 
 #include <cmath>
 #include <cstring>
@@ -18,7 +18,7 @@
 #include "data/simulators.h"
 #include "obs/metrics.h"
 #include "streameval/drift.h"
-#include "streameval/online_measures.h"
+#include "streameval/feature_gaussian.h"
 #include "streameval/stream_evaluator.h"
 
 namespace tsg::streameval {
@@ -74,7 +74,7 @@ std::map<std::string, double> RunStream(const Dataset& reference,
   return snapshot.value();
 }
 
-// ---- The streaming-exact contract. ----
+// ---- Snapshots equal the batch measures on the window. ----
 
 // The core guarantee: at every batch boundary, for every window size, the
 // streaming snapshot is byte-identical to running the real batch measures on
@@ -92,8 +92,8 @@ TEST(StreamExactTest, MatchesBatchAcrossWindowSizes) {
 }
 
 // Snapshots are a pure function of the window contents — how the stream was
-// chunked into Update() calls must not change a single bit of any
-// streaming-exact measure.
+// chunked into Update() calls must not change a single bit of any windowed
+// measure.
 TEST(StreamExactTest, BatchSlicingDoesNotChangeExactMeasures) {
   const Dataset reference = SineDataset(6, /*seed=*/3);
   const std::vector<Matrix> stream = StreamSeries(23, /*seed=*/55);
@@ -115,8 +115,8 @@ TEST(StreamExactTest, BatchSlicingDoesNotChangeExactMeasures) {
 }
 
 // The exactness contract holds at any thread count: ParallelSum folds in index
-// order regardless of how the map is scheduled, and the streaming snapshot
-// re-folds the same per-item values through the same shapes.
+// order regardless of how the map is scheduled, and a snapshot is the batch
+// measure itself.
 TEST(StreamExactTest, ThreadCountDoesNotChangeSnapshots) {
   const Dataset reference = SineDataset(7, /*seed=*/3);
   const std::vector<Matrix> stream = StreamSeries(16, /*seed=*/77);
@@ -137,10 +137,9 @@ TEST(StreamExactTest, ThreadCountDoesNotChangeSnapshots) {
   }
 }
 
-// Sliding far past the first window exercises MDD's Histogram::Remove path
-// (integer counts make eviction lossless) and the cached-value eviction of
-// ED/DTW/ACD; VerifyExactAgainstBatch would catch any residue from evicted
-// series.
+// Sliding far past the first window: evicted series must leave no trace, and
+// the pairing of window items with the rotated reference must follow the
+// stream positions; VerifyExactAgainstBatch checks both.
 TEST(StreamExactTest, SlidingEvictionStaysExact) {
   const Dataset reference = SineDataset(5, /*seed=*/3);
   const std::vector<Matrix> stream = StreamSeries(30, /*seed=*/13);

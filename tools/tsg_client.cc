@@ -34,6 +34,7 @@ namespace {
 
 using tsg::bench::ConsumeFlag;
 using tsg::bench::ConsumeFlagValue;
+using tsg::bench::ParseInt64OrExit;
 
 int UsageError(const char* message) {
   std::fprintf(stderr, "%s\n%s", message, tsg::serve::ClientUsage().c_str());
@@ -152,19 +153,20 @@ int main(int argc, char** argv) {
     request.spec.tenant = flag_tenant;
   }
   if (ConsumeFlagValue(&argc, argv, "priority", &value)) {
-    request.spec.priority = std::atoll(value.c_str());
+    request.spec.priority = ParseInt64OrExit("--priority", value);
   }
   if (ConsumeFlagValue(&argc, argv, "count", &value)) {
-    request.spec.count = std::atoll(value.c_str());
+    request.spec.count = ParseInt64OrExit("--count", value);
   }
   if (ConsumeFlagValue(&argc, argv, "gen_seed", &value)) {
-    request.spec.gen_seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+    request.spec.gen_seed =
+        static_cast<uint64_t>(ParseInt64OrExit("--gen_seed", value));
   }
   if (ConsumeFlagValue(&argc, argv, "window", &value)) {
-    request.spec.window = std::atoll(value.c_str());
+    request.spec.window = ParseInt64OrExit("--window", value);
   }
   if (ConsumeFlagValue(&argc, argv, "chunk", &value)) {
-    request.spec.chunk = std::atoll(value.c_str());
+    request.spec.chunk = ParseInt64OrExit("--chunk", value);
   }
   if (ConsumeFlagValue(&argc, argv, "methods", &value)) {
     request.spec.methods = SplitCsv(value);
@@ -173,7 +175,7 @@ int main(int argc, char** argv) {
     request.spec.datasets = SplitCsv(value);
   }
   if (ConsumeFlagValue(&argc, argv, "job", &value)) {
-    flag_job = std::atoll(value.c_str());
+    flag_job = ParseInt64OrExit("--job", value);
   }
   if (!tsg::bench::RequireNoUnknownFlags(argc, argv, tsg::serve::ClientUsage()))
     return 2;
@@ -232,7 +234,11 @@ int main(int argc, char** argv) {
     request.cmd = tsg::serve::Request::Cmd::kShutdown;
   }
 
-  const int fd = Connect(socket_path, std::atoi(port_text.c_str()));
+  const int port =
+      port_text.empty()
+          ? 0
+          : static_cast<int>(ParseInt64OrExit("--port", port_text, 1, 65535));
+  const int fd = Connect(socket_path, port);
   if (fd < 0) return 1;
 
   std::string buffer;

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/harness.h"
 #include "core/preprocess.h"
 #include "core/recommend.h"
@@ -44,11 +45,15 @@ struct Args {
   }
   double GetDouble(const std::string& key, double fallback) const {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
+    return it == flags.end()
+               ? fallback
+               : tsg::bench::ParseDoubleOrExit("--" + key, it->second);
   }
   int64_t GetInt(const std::string& key, int64_t fallback) const {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atoll(it->second.c_str());
+    return it == flags.end()
+               ? fallback
+               : tsg::bench::ParseInt64OrExit("--" + key, it->second);
   }
 };
 

@@ -21,6 +21,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "bench_util.h"
@@ -35,6 +36,12 @@ void HandleStopSignal(int) {
   if (g_server != nullptr) g_server->RequestStop();
 }
 
+int ParseIntFlag(const std::string& name, const std::string& value) {
+  return static_cast<int>(tsg::bench::ParseInt64OrExit(
+      name, value, std::numeric_limits<int>::min(),
+      std::numeric_limits<int>::max()));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -43,20 +50,23 @@ int main(int argc, char** argv) {
   std::string value;
   tsg::bench::ConsumeFlagValue(&argc, argv, "socket", &options.socket_path);
   if (tsg::bench::ConsumeFlagValue(&argc, argv, "tcp_port", &value)) {
-    options.tcp_port = std::atoi(value.c_str());
+    options.tcp_port = ParseIntFlag("--tcp_port", value);
   }
   if (tsg::bench::ConsumeFlagValue(&argc, argv, "idle_timeout", &value)) {
-    options.idle_timeout_seconds = std::atof(value.c_str());
+    options.idle_timeout_seconds =
+        tsg::bench::ParseDoubleOrExit("--idle_timeout", value);
   }
   if (tsg::bench::ConsumeFlagValue(&argc, argv, "max_inflight", &value)) {
-    options.limits.max_inflight = std::atoi(value.c_str());
+    options.limits.max_inflight = ParseIntFlag("--max_inflight", value);
   }
   if (tsg::bench::ConsumeFlagValue(&argc, argv, "max_inflight_per_tenant",
                                    &value)) {
-    options.limits.max_inflight_per_tenant = std::atoi(value.c_str());
+    options.limits.max_inflight_per_tenant =
+        ParseIntFlag("--max_inflight_per_tenant", value);
   }
   if (tsg::bench::ConsumeFlagValue(&argc, argv, "max_queued", &value)) {
-    options.limits.max_queued = std::atoll(value.c_str());
+    options.limits.max_queued =
+        tsg::bench::ParseInt64OrExit("--max_queued", value);
   }
   const std::string usage =
       "tsgd --socket=<path> [--tcp_port=<p>] [--idle_timeout=<s>] "
